@@ -23,7 +23,22 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use c3_bench::report::{self, Report};
-use simmpi::{NetCond, NetStats, World};
+use simmpi::{JobControl, MpiResult, NetCond, NetStats, Repair, World};
+
+/// Every rank's output over `cond`, or the first rank error.
+fn run_net<T: Send>(
+    cond: NetCond,
+    f: impl Fn(&mut simmpi::Mpi) -> MpiResult<T> + Send + Sync,
+) -> MpiResult<Vec<T>> {
+    let (results, _) = World::run_supervised(
+        2,
+        JobControl::new(2),
+        cond,
+        Repair::Rollback,
+        f,
+    );
+    results.into_iter().collect()
+}
 
 const ROUNDS: u64 = 1500;
 const PAYLOAD: usize = 256;
@@ -50,7 +65,7 @@ fn run_cell(name: &'static str, cond: NetCond) -> Cell {
     let payload = vec![0xA5u8; PAYLOAD];
     let n = rounds();
     let t0 = Instant::now();
-    let stats = World::run_net(2, cond, move |mpi| {
+    let stats = run_net(cond, move |mpi| {
         let comm = mpi.world();
         let peer = 1 - mpi.rank();
         for round in 0..n {
@@ -143,7 +158,7 @@ fn bench_transport(c: &mut Criterion) {
     ] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                World::run_net(2, cond.clone(), move |mpi| {
+                run_net(cond.clone(), move |mpi| {
                     let comm = mpi.world();
                     let peer = 1 - mpi.rank();
                     for _ in 0..burst {

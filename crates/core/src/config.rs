@@ -156,9 +156,6 @@ pub struct C3Config {
     pub trigger: CheckpointTrigger,
     /// Injected stopping failures.
     pub failures: FailurePlan,
-    /// Simulated failure-detection latency in milliseconds: how long after
-    /// a fail-stop the detector aborts the attempt.
-    pub detection_latency_ms: u64,
     /// Upper bound on restarts before the job driver gives up with
     /// [`crate::C3Error::RestartBudgetExhausted`]. Localized splices do
     /// not consume this budget — only full rollback-restarts do.
@@ -203,7 +200,6 @@ impl Default for C3Config {
             piggyback_mode: PiggybackMode::Packed,
             trigger: CheckpointTrigger::Manual,
             failures: Arc::new(Vec::new()),
-            detection_latency_ms: 2,
             max_restarts: 16,
             recovery: RecoveryMode::default(),
             trace: None,

@@ -4,18 +4,19 @@
 //! This is the runtime half of the paper's problem statement (Section 1.1):
 //! given a reliable transport, unreliable processes, and a failure
 //! detector, make the program complete despite stopping failures. Each
-//! *attempt* spawns all ranks; an injected stopping failure silences one
-//! rank, the simulated detector notices after a configurable latency and
-//! aborts the attempt, and the driver restarts every rank from the latest
-//! committed checkpoint (or from scratch if none committed yet).
+//! *attempt* spawns all ranks under simmpi's supervisor; an injected
+//! stopping failure silences one rank, the supervisor learns of it a
+//! fixed detection latency after the rank's exit, and — under full
+//! restart, or when a localized splice escalates — aborts the attempt,
+//! and `run_job` restarts every rank from the latest committed
+//! checkpoint (or from scratch if none committed yet).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ckptpipe::CheckpointPipeline;
 use ckptstore::{CheckpointStore, MemoryBackend, StorageBackend};
-use simmpi::{JobControl, MpiError, SpliceDecision, SpliceQuery, World};
+use simmpi::{JobControl, Repair, SpliceDecision, SpliceQuery, World};
 use statesave::snapshot::SaveState;
 
 use crate::config::{C3Config, RecoveryMode};
@@ -189,8 +190,6 @@ pub fn run_job<A: C3App>(
             recovered_from.push(recover.unwrap_or(0));
         }
 
-        let control = JobControl::new(nprocs);
-
         // One I/O pipeline per attempt, shared by every rank. A killed
         // attempt may leave writes for an uncommitted checkpoint in
         // flight; the end-of-attempt shutdown finishes them (they are
@@ -233,58 +232,27 @@ pub fn run_job<A: C3App>(
                 }
             }
         };
-        let results: Vec<Result<Inner<A::Output>, MpiError>> =
-            match cfg.recovery {
-                RecoveryMode::FullRestart => {
-                    // The paper's model: a simulated distributed failure
-                    // detector aborts the whole attempt `latency` after
-                    // the first fail-stop; every rank rolls back.
-                    let detector = spawn_detector(
-                        control.clone(),
-                        Duration::from_millis(cfg.detection_latency_ms),
-                    );
-                    let results = World::run_collect_net(
-                        nprocs,
-                        control.clone(),
-                        cfg.net.clone(),
-                        rank_fn,
-                    );
-                    detector.stop();
-                    results
-                }
-                RecoveryMode::Localized => {
-                    // Online recovery: the splice supervisor owns failure
-                    // handling — survivors keep running while a dead rank
-                    // is respawned and caught up by deterministic replay.
-                    // Deaths it cannot repair online escalate by aborting
-                    // the attempt, which lands back in the rollback path
-                    // below.
-                    let (results, stats) = World::run_supervised_net(
-                        nprocs,
-                        control.clone(),
-                        cfg.net.clone(),
-                        Duration::from_millis(cfg.detection_latency_ms),
-                        |q: SpliceQuery| {
-                            // Rank 0 hosts the initiator (commit, GC,
-                            // checkpoint triggering): its death, or a rank
-                            // dying twice in one attempt, escalates to a
-                            // full rollback-restart.
-                            if q.rank == 0 || q.rank_respawns >= 1 {
-                                SpliceDecision::Escalate
-                            } else {
-                                SpliceDecision::Respawn
-                            }
-                        },
-                        rank_fn,
-                    );
-                    // Only splices that *stuck* (the respawned incarnation
-                    // finished the attempt) count; an escalated attempt is
-                    // counted as a restart when the rollback loops, never
-                    // as both.
-                    splices += stats.completed;
-                    results
-                }
-            };
+        // Under full restart (the paper's model) every death aborts the
+        // attempt and every rank rolls back. Under localized recovery
+        // survivors keep running while a dead rank is respawned and
+        // caught up by deterministic replay; deaths it cannot repair
+        // online escalate by aborting, which lands back in the rollback
+        // path below.
+        let repair = match cfg.recovery {
+            RecoveryMode::FullRestart => Repair::Rollback,
+            RecoveryMode::Localized => Repair::Splice(splice_policy),
+        };
+        let (results, splice_stats) = World::run_supervised(
+            nprocs,
+            JobControl::new(nprocs),
+            cfg.net.clone(),
+            repair,
+            rank_fn,
+        );
+        // Only splices that *stuck* (the respawned incarnation finished
+        // the attempt) count; an escalated attempt is counted as a
+        // restart when the rollback loops, never as both.
+        splices += splice_stats.completed;
         if let Some(p) = &pipeline {
             p.shutdown();
         }
@@ -328,37 +296,13 @@ pub fn run_job<A: C3App>(
     unreachable!("loop returns or errors")
 }
 
-/// A simulated distributed failure detector: polls the fail-stop flags
-/// and, `latency` after the first failure, declares the attempt dead.
-struct Detector {
-    done: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Detector {
-    fn stop(mut self) {
-        self.done.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn spawn_detector(control: JobControl, latency: Duration) -> Detector {
-    let done = Arc::new(AtomicBool::new(false));
-    let done2 = done.clone();
-    let handle = std::thread::spawn(move || {
-        while !done2.load(Ordering::Acquire) {
-            if control.any_failed() {
-                std::thread::sleep(latency);
-                control.abort();
-                return;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    });
-    Detector {
-        done,
-        handle: Some(handle),
+/// Localized recovery's splice policy. Rank 0 hosts the initiator
+/// (commit, GC, checkpoint triggering): its death, or a rank dying twice
+/// in one attempt, escalates to a full rollback-restart.
+fn splice_policy(q: SpliceQuery) -> SpliceDecision {
+    if q.rank == 0 || q.rank_respawns >= 1 {
+        SpliceDecision::Escalate
+    } else {
+        SpliceDecision::Respawn
     }
 }

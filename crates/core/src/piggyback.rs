@@ -99,28 +99,6 @@ impl Piggyback {
         }
     }
 
-    /// Encode as a header in the given mode, prepended to `payload`.
-    /// Fails in packed mode when the message id exceeds 30 bits.
-    pub fn encode_header(
-        &self,
-        mode: PiggybackMode,
-        payload: &[u8],
-    ) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::with_capacity(mode.header_len() + payload.len());
-        match mode {
-            PiggybackMode::Explicit => {
-                out.extend_from_slice(&self.epoch.to_le_bytes());
-                out.push(self.logging as u8);
-                out.extend_from_slice(&self.message_id.to_le_bytes());
-            }
-            PiggybackMode::Packed => {
-                out.extend_from_slice(&self.try_pack()?.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(payload);
-        Ok(out)
-    }
-
     /// Encode as an inline header segment for the zero-copy send path:
     /// the control word travels beside the payload in the frame's
     /// fixed-size header slot, so the payload itself is never touched.
@@ -317,11 +295,11 @@ mod tests {
             };
             assert!(pb.try_pack().is_err(), "id {id:#x} must be rejected");
             assert!(
-                pb.encode_header(PiggybackMode::Packed, b"x").is_err(),
+                pb.encode_inline(PiggybackMode::Packed).is_err(),
                 "packed header for id {id:#x} must be rejected"
             );
             // The explicit triple has a full 32-bit id field: no limit.
-            let buf = pb.encode_header(PiggybackMode::Explicit, b"x").unwrap();
+            let buf = pb.encode_inline(PiggybackMode::Explicit).unwrap();
             let (h, _) = decode_header(PiggybackMode::Explicit, &buf).unwrap();
             assert_eq!(h.message_id(), id);
         }
@@ -382,14 +360,11 @@ mod tests {
             logging: true,
             message_id: 99,
         };
-        let buf = pb
-            .encode_header(PiggybackMode::Explicit, b"payload")
-            .unwrap();
-        assert_eq!(buf.len(), 9 + 7);
+        let buf = pb.encode_inline(PiggybackMode::Explicit).unwrap();
+        assert_eq!(buf.len(), 9);
         let (h, off) = decode_header(PiggybackMode::Explicit, &buf).unwrap();
         assert_eq!(off, 9);
         assert_eq!(h, DecodedHeader::Explicit(pb));
-        assert_eq!(&buf[off..], b"payload");
     }
 
     #[test]
@@ -399,21 +374,18 @@ mod tests {
             logging: false,
             message_id: 7,
         };
-        let buf = pb.encode_header(PiggybackMode::Packed, b"xy").unwrap();
-        assert_eq!(buf.len(), 4 + 2);
+        let buf = pb.encode_inline(PiggybackMode::Packed).unwrap();
+        assert_eq!(buf.len(), 4);
         let (h, off) = decode_header(PiggybackMode::Packed, &buf).unwrap();
         assert_eq!(off, 4);
         assert_eq!(h.message_id(), 7);
         assert!(!h.logging());
         assert_eq!(h.color(), Color::Red);
-        assert_eq!(&buf[off..], b"xy");
     }
 
     #[test]
-    fn inline_header_matches_embedded_encoding() {
-        // The inline segment must be byte-identical to the prefix the
-        // legacy embedded path would prepend, in both modes — receivers
-        // decode the two forms with the same `decode_header`.
+    fn inline_header_round_trips_in_both_modes() {
+        // The inline segment is exactly one control word, in both modes.
         for mode in [PiggybackMode::Explicit, PiggybackMode::Packed] {
             for pb in [
                 Piggyback {
@@ -428,8 +400,6 @@ mod tests {
                 },
             ] {
                 let inline = pb.encode_inline(mode).unwrap();
-                let embedded = pb.encode_header(mode, b"").unwrap();
-                assert_eq!(inline.as_slice(), &embedded[..]);
                 assert_eq!(inline.len(), mode.header_len());
                 let (h, off) = decode_header(mode, &inline).unwrap();
                 assert_eq!(off, mode.header_len());

@@ -861,33 +861,30 @@ impl<'a> Process<'a> {
     /// Decode the piggyback control word, classify the message, update
     /// counters and logs (the receive half of Figure 4).
     ///
-    /// The control word normally arrives in the frame's inline header
-    /// segment and the payload passes through untouched. A message whose
-    /// header segment is empty is treated as legacy traffic with the
-    /// control word embedded at the front of the payload; the payload is
-    /// then a zero-copy slice past it.
+    /// The control word arrives in the frame's inline header segment and
+    /// the payload passes through untouched; a frame without one did not
+    /// come from this layer and is a protocol error.
     fn deliver(
         &mut self,
         comm: CommHandle,
         msg: RecvMsg,
     ) -> C3Result<RecvMsg> {
-        let (header, payload) = if msg.header.is_empty() {
-            let (h, offset) =
-                decode_header(self.cfg.piggyback_mode, &msg.payload)?;
-            (h, msg.payload.slice(offset..))
-        } else {
-            let (h, offset) =
-                decode_header(self.cfg.piggyback_mode, &msg.header)?;
-            if offset != msg.header.len() {
-                return Err(C3Error::Protocol(format!(
-                    "piggyback header segment is {} bytes but the {:?} \
-                     control word is {offset}",
-                    msg.header.len(),
-                    self.cfg.piggyback_mode
-                )));
-            }
-            (h, msg.payload.clone())
-        };
+        if msg.header.is_empty() {
+            return Err(C3Error::Protocol(
+                "message arrived without a piggyback header segment".into(),
+            ));
+        }
+        let (header, offset) =
+            decode_header(self.cfg.piggyback_mode, &msg.header)?;
+        if offset != msg.header.len() {
+            return Err(C3Error::Protocol(format!(
+                "piggyback header segment is {} bytes but the {:?} \
+                 control word is {offset}",
+                msg.header.len(),
+                self.cfg.piggyback_mode
+            )));
+        }
+        let payload = msg.payload.clone();
         let class = match header {
             DecodedHeader::Explicit(pb) => {
                 classify_by_epoch(pb.epoch, self.epoch)

@@ -96,77 +96,33 @@ fn hot_path_stays_zero_copy_with_checkpoints_running() {
     }
 }
 
-/// Regression for the legacy embedded-header fallback in
-/// `Process::deliver()`: a frame whose inline header segment is empty
-/// must have its control word decoded from the front of the payload,
-/// classified normally, and the application payload produced as a
-/// zero-copy slice past the header — `payload_bytes_copied` stays at
-/// exactly 0, not merely "small".
+/// `Process::deliver()` accepts only frames carrying the inline
+/// piggyback header segment; a bare frame (no header) is a protocol
+/// error, not a message to reclassify.
 #[test]
-fn legacy_embedded_header_fallback_classifies_without_copying() {
-    use c3_core::piggyback::Piggyback;
+fn headerless_frame_is_a_protocol_error() {
+    use c3_core::C3Error;
     use simmpi::World;
 
     for mode in [PiggybackMode::Packed, PiggybackMode::Explicit] {
-        let intra_payload = vec![0x11u8; 1024];
-        let early_payload = vec![0x22u8; 512];
         let outputs = World::run(2, |mpi| {
             let mut cfg = C3Config::default().with_piggyback(mode);
             cfg.level = InstrumentationLevel::Piggyback;
-            if mpi.rank() == 0 {
-                // Process construction is collective (the shadow control
-                // communicator is dup'ed), so rank 0 builds the layer
-                // too — then drops it and speaks the legacy wire format
-                // directly: control word at the front of the payload,
-                // no inline header segment.
-                let p = Process::new(mpi, cfg, None, 1, None).unwrap();
+            // Process construction is collective (the shadow control
+            // communicator is dup'ed), so rank 0 builds the layer too —
+            // then drops it and sends a bare frame underneath it.
+            let mut p = Process::new(mpi, cfg, None, 1, None).unwrap();
+            if p.rank() == 0 {
                 drop(p);
                 let world = mpi.world();
-                let intra = Piggyback {
-                    epoch: 0,
-                    logging: false,
-                    message_id: 0,
-                }
-                .encode_header(mode, &intra_payload)
-                .unwrap();
-                mpi.send_bytes(&world, 1, 7, intra.into())?;
-                // A frame from epoch 1 reaching an epoch-0 receiver is
-                // an early message.
-                let early = Piggyback {
-                    epoch: 1,
-                    logging: false,
-                    message_id: 0,
-                }
-                .encode_header(mode, &early_payload)
-                .unwrap();
-                mpi.send_bytes(&world, 1, 8, early.into())?;
-                Ok((0, 0, 0))
+                mpi.send_bytes(&world, 1, 7, Bytes::from(vec![0u8; 16]))?;
+                Ok(true)
             } else {
-                let mut p = Process::new(mpi, cfg, None, 1, None).unwrap();
                 let world = p.world();
-                let m = p.recv(world, 0, 7).unwrap();
-                assert_eq!(
-                    m.payload.as_ref(),
-                    &intra_payload[..],
-                    "{mode:?}: header must be stripped from the payload"
-                );
-                let m = p.recv(world, 0, 8).unwrap();
-                assert_eq!(m.payload.as_ref(), &early_payload[..]);
-                let s = *p.stats();
-                Ok((s.early_recorded, s.late_logged, s.payload_bytes_copied))
+                Ok(matches!(p.recv(world, 0, 7), Err(C3Error::Protocol(_))))
             }
         })
         .unwrap();
-        let (early, late, copied) = outputs[1];
-        assert_eq!(
-            (early, late),
-            (1, 0),
-            "{mode:?}: one early record, no late logging"
-        );
-        assert_eq!(
-            copied, 0,
-            "{mode:?}: the fallback must slice past the embedded header, \
-             not copy the payload"
-        );
+        assert!(outputs[1], "{mode:?}: a headerless frame must be refused");
     }
 }

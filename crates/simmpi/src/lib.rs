@@ -25,11 +25,14 @@
 //!   `dup` and `split`, and a set of collectives (barrier, bcast, reduce,
 //!   allreduce, gather, allgather, scatter, alltoall, scan) implemented over
 //!   internal point-to-point messages, invisible to the layer above.
-//! * **Abortable blocking**: every blocking call watches a shared
-//!   [`world::JobControl`]; when the failure detector declares a stopping
-//!   failure the whole job unblocks with [`error::MpiError::Aborted`], which
-//!   is how the recovery harness rolls every rank back to the last committed
-//!   checkpoint.
+//! * **Event-woken blocking**: every blocking call sleeps on its rank's
+//!   mailbox until a frame, a wake from the shared [`world::JobControl`],
+//!   or the lossy wire's next timer. One supervised runner,
+//!   [`World::run_supervised`], learns of each rank death from the rank's
+//!   exit and repairs it per [`world::Repair`]: a rollback aborts the
+//!   attempt (every blocked call returns [`error::MpiError::Aborted`],
+//!   which is how the recovery harness rolls every rank back to the last
+//!   committed checkpoint), a splice respawns the dead rank in place.
 //!
 //! # Quick start
 //!
@@ -72,4 +75,4 @@ pub use netsim::{NetCond, NetStats, Partition, RetransmitPolicy, WireStats};
 pub use rank::{Mpi, ANY_SOURCE, ANY_TAG};
 pub use request::Request;
 pub use splice::{SpliceDecision, SpliceQuery, SpliceStats};
-pub use world::{JobControl, World};
+pub use world::{JobControl, Repair, World};

@@ -317,7 +317,8 @@ impl NetCond {
 ///
 /// The perfect wire carries bare [`Frame::Direct`] messages exactly as
 /// the original transport did; the lossy wire carries sequenced
-/// [`Frame::Data`] frames plus [`Frame::Ack`] repair traffic.
+/// [`Frame::Data`] frames plus [`Frame::Ack`] repair traffic. Either may
+/// carry a [`Frame::Wake`].
 #[derive(Debug, Clone)]
 pub enum Frame {
     /// A message on the perfect wire (no reliability header).
@@ -340,6 +341,10 @@ pub enum Frame {
         /// One past the highest contiguously delivered wire sequence.
         cum: u64,
     },
+    /// No message: wakes a rank blocked on its mailbox so it re-reads
+    /// the job's liveness flags or re-arms its sublayer deadline. Pushed
+    /// by [`crate::JobControl`] and when the wire parks a frame.
+    Wake,
 }
 
 /// Per-sender counters of the lossy wire, attributed to the sending rank
@@ -399,6 +404,21 @@ impl LinkWire {
         self.stats
     }
 
+    /// When the next held frame falls due: `now` for one already due by
+    /// frame index, `None` when nothing is held.
+    pub(crate) fn next_due(&self, now: Instant) -> Option<Instant> {
+        self.held
+            .iter()
+            .map(|h| {
+                if h.release_idx <= self.sent {
+                    now
+                } else {
+                    h.deadline
+                }
+            })
+            .min()
+    }
+
     /// Push every due held frame into `deliver`.
     fn release_due(&mut self, now: Instant, deliver: &mut impl FnMut(Frame)) {
         let idx = self.sent;
@@ -417,7 +437,8 @@ impl LinkWire {
 
     /// Offer one frame to the lossy wire; every surviving copy is handed
     /// to `deliver` (possibly zero, one, or two times, possibly later
-    /// through [`LinkWire::release_due`]).
+    /// through [`LinkWire::release_due`]). Returns whether the frame was
+    /// parked on the wire, so the receiver can re-arm its deadline.
     pub(crate) fn transmit(
         &mut self,
         cond: &NetCond,
@@ -426,7 +447,7 @@ impl LinkWire {
         frame: Frame,
         now: Instant,
         deliver: &mut impl FnMut(Frame),
-    ) {
+    ) -> bool {
         let idx = self.sent;
         self.sent += 1;
         self.release_due(now, deliver);
@@ -438,26 +459,29 @@ impl LinkWire {
             // Acks are identified by their position on the link; they are
             // only ever dropped, never duplicated or held.
             Frame::Ack { cum, .. } => (*cum ^ idx.rotate_left(17), 0),
-            Frame::Direct(_) => unreachable!("direct frames bypass the wire"),
+            Frame::Direct(_) | Frame::Wake => {
+                unreachable!("direct frames and wakes bypass the wire")
+            }
         };
 
         if cond.severed(src, dst, idx) {
             self.stats.partition_dropped += 1;
-            return;
+            return false;
         }
         if let Frame::Ack { .. } = frame {
             if cond.roll(SALT_ACK_DROP, cond.drop_ppm, src, dst, seq, 0) {
                 self.stats.dropped += 1;
-                return;
+                return false;
             }
             deliver(frame);
-            return;
+            return false;
         }
         if cond.roll(SALT_DROP, cond.drop_ppm, src, dst, seq, attempt) {
             self.stats.dropped += 1;
-            return;
+            return false;
         }
         let dup = cond.roll(SALT_DUP, cond.dup_ppm, src, dst, seq, attempt);
+        let parked = self.held.len();
         if cond.roll(SALT_REORDER, cond.reorder_ppm, src, dst, seq, attempt) {
             self.stats.reordered += 1;
             self.held.push(HeldFrame {
@@ -486,6 +510,7 @@ impl LinkWire {
             self.stats.duplicated += 1;
             deliver(frame);
         }
+        self.held.len() > parked
     }
 
     /// Release due held frames without offering new traffic (the
@@ -648,6 +673,7 @@ impl NetEndpoint {
     ) -> Vec<Message> {
         match frame {
             Frame::Direct(msg) => vec![msg],
+            Frame::Wake => Vec::new(),
             Frame::Ack { peer, cum } => {
                 let chan = &mut self.tx[peer];
                 while chan.unacked.front().is_some_and(|u| u.wire_seq < cum) {
@@ -690,6 +716,29 @@ impl NetEndpoint {
             },
             now,
         );
+    }
+
+    /// When [`NetEndpoint::poll`] next has work: the earliest retransmit
+    /// deadline on a live channel or wire release on a link into this
+    /// rank. `None` means only an arriving frame can change anything.
+    /// Channels frozen for a failed rank carry no deadline: the
+    /// respawn that unfreezes them wakes every rank.
+    pub fn next_due(&self, fabric: &Fabric) -> Option<Instant> {
+        let now = Instant::now();
+        let control = fabric.control();
+        let retransmit = self
+            .tx
+            .iter()
+            .enumerate()
+            .filter(|(dst, _)| {
+                !(control.is_failed(*dst) && control.holds_failed_traffic())
+            })
+            .flat_map(|(_, chan)| chan.unacked.iter().map(|u| u.next_due))
+            .min();
+        retransmit
+            .into_iter()
+            .chain(fabric.wire_next_due_to(self.rank, now))
+            .min()
     }
 
     /// Drive the sublayer's timers: release due wire frames destined to
@@ -820,8 +869,7 @@ mod tests {
         for seed in 0..16u64 {
             let cond = NetCond::lossy(seed).with_drop_ppm(100_000);
             let control = JobControl::new(2);
-            let (fabric, mut rx) =
-                Fabric::new_with_net(2, control, cond.clone());
+            let (fabric, mut rx) = Fabric::new(2, control, cond.clone());
             let mut ep0 = NetEndpoint::new(0, 2, cond.retransmit.clone());
             let mut ep1 = NetEndpoint::new(1, 2, cond.retransmit.clone());
             let start = Instant::now();
@@ -844,8 +892,7 @@ mod tests {
         let cond = NetCond::lossy(7).with_drop_ppm(100_000);
         let run = || {
             let control = JobControl::new(2);
-            let (fabric, mut rx) =
-                Fabric::new_with_net(2, control, cond.clone());
+            let (fabric, mut rx) = Fabric::new(2, control, cond.clone());
             let mut ep0 = NetEndpoint::new(0, 2, cond.retransmit.clone());
             let mut ep1 = NetEndpoint::new(1, 2, cond.retransmit.clone());
             let start = Instant::now();
@@ -917,7 +964,7 @@ mod tests {
     fn dedup_window_reacks_duplicates_without_redelivery() {
         let cond = NetCond::perfect().with_dup_ppm(1); // net enabled, benign
         let control = JobControl::new(2);
-        let (fabric, rx) = Fabric::new_with_net(2, control, cond.clone());
+        let (fabric, rx) = Fabric::new(2, control, cond.clone());
         let mut ep1 = NetEndpoint::new(1, 2, RetransmitPolicy::default());
         let now = Instant::now();
         let data = |wire_seq, uid| Frame::Data {
@@ -959,7 +1006,7 @@ mod tests {
                 budget: 4,
             });
         let control = JobControl::new(2);
-        let (fabric, _rx) = Fabric::new_with_net(2, control, cond.clone());
+        let (fabric, _rx) = Fabric::new(2, control, cond.clone());
         let mut ep0 = NetEndpoint::new(0, 2, cond.retransmit.clone());
         let start = Instant::now();
         ep0.send(&fabric, msg(0, 1, 0, 1), start).unwrap();
@@ -985,7 +1032,7 @@ mod tests {
     fn transient_partition_heals_by_frame_count() {
         let cond = NetCond::perfect().with_partition(0, 1, 0, 3);
         let control = JobControl::new(2);
-        let (fabric, rx) = Fabric::new_with_net(2, control, cond.clone());
+        let (fabric, rx) = Fabric::new(2, control, cond.clone());
         let mut ep0 = NetEndpoint::new(0, 2, cond.retransmit.clone());
         let mut ep1 = NetEndpoint::new(1, 2, cond.retransmit.clone());
         let start = Instant::now();
@@ -1010,8 +1057,7 @@ mod tests {
     fn frames_to_failed_or_done_ranks_are_written_off() {
         let cond = NetCond::perfect().with_partition(0, 1, 0, u64::MAX);
         let control = JobControl::new(3);
-        let (fabric, _rx) =
-            Fabric::new_with_net(3, control.clone(), cond.clone());
+        let (fabric, _rx) = Fabric::new(3, control.clone(), cond.clone());
         let mut ep0 = NetEndpoint::new(0, 3, cond.retransmit.clone());
         let start = Instant::now();
         ep0.send(&fabric, msg(0, 1, 0, 1), start).unwrap();

@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
@@ -62,11 +62,18 @@ pub struct Mpi {
     /// taped so a dead rank can be respawned by deterministic replay.
     /// `None` (the default) keeps the hot path untouched.
     recorder: Option<Arc<FlightRecorder>>,
-    /// Operation count at which each engine-resident message was fed,
-    /// keyed by `(sender world rank, sender-assigned seq)`. Only
-    /// populated while a recorder is attached; consumption-time taping
-    /// reads (and removes) the entry to compute the release point.
-    feed_ops: HashMap<(usize, u64), u64>,
+    /// Observations so far (receive posts, probes, tests, `waitany`
+    /// calls): the replay clock. Two probes may share an operation count
+    /// yet differ in what they saw; they never share an observation.
+    polls: u64,
+    /// Observation at which each engine-resident message was first
+    /// matched or probed, keyed by `(sender world rank, sender-assigned
+    /// seq)` — its replay release point. Kept only while a recorder is
+    /// attached.
+    seen: HashMap<(usize, u64), u64>,
+    /// Set when a liveness check fails while blocked in a wait: the one
+    /// death whose successor must go live inside that same observation.
+    died_blocked: bool,
     /// Catch-up replay state of a respawned incarnation; `None` once the
     /// tape is exhausted (or on every ordinary incarnation).
     replay: Option<ReplayState>,
@@ -114,10 +121,13 @@ struct ReplayState {
     /// True while a released tape entry has not yet been consumed.
     /// Entries are released strictly one at a time, in tape order:
     /// consumption order is the only total order the original run
-    /// defines, and op counts alone cannot sequence two polls of the
-    /// same operation (the original may have consumed a message between
-    /// two same-op probes that the op threshold cannot tell apart).
+    /// defines, and a wait may consume between two observations.
     outstanding: bool,
+    /// The dead incarnation's last observation: catch-up ends only once
+    /// the tape is exhausted *and* re-execution has passed it (or, if
+    /// the predecessor died blocked in a wait, blocks at it).
+    until_poll: u64,
+    until_blocked: bool,
 }
 
 impl Mpi {
@@ -143,7 +153,9 @@ impl Mpi {
             ops: 0,
             next_ctx_hint: crate::comm::WORLD_CONTEXT + 1,
             recorder: None,
-            feed_ops: HashMap::new(),
+            polls: 0,
+            seen: HashMap::new(),
+            died_blocked: false,
             replay: None,
             class_sent: vec![HashMap::new(); size],
             suppress_budget: vec![HashMap::new(); size],
@@ -182,12 +194,14 @@ impl Mpi {
         let mut undelivered: Vec<Message> =
             matched.into_iter().map(|(_, m)| m).collect();
         undelivered.extend(self.engine.drain_unexpected());
-        self.feed_ops.clear();
+        self.seen.clear();
         DeathStash {
             class_sent: self.class_sent.clone(),
             net: self.net.take(),
             inbox: Some(std::mem::replace(&mut self.inbox, dummy)),
             undelivered,
+            polls: self.polls,
+            blocked: self.died_blocked,
         }
     }
 
@@ -208,22 +222,14 @@ impl Mpi {
             self.net = Some(ep);
         }
         self.replayed_frames = tape.len() as u64;
-        if tape.is_empty() {
-            // Nothing was consumed before death: the incarnation is live
-            // from its first operation, and the predecessor's unconsumed
-            // traffic is available immediately.
-            for msg in stash.undelivered {
-                self.feed(msg);
-            }
-            self.caught_up_pending = true;
-        } else {
-            self.replay = Some(ReplayState {
-                tape,
-                held: VecDeque::new(),
-                undelivered: stash.undelivered,
-                outstanding: false,
-            });
-        }
+        self.replay = Some(ReplayState {
+            tape,
+            held: VecDeque::new(),
+            undelivered: stash.undelivered,
+            outstanding: false,
+            until_poll: stash.polls,
+            until_blocked: stash.blocked,
+        });
     }
 
     /// Attach an observability registry: registers this rank's metric
@@ -276,36 +282,40 @@ impl Mpi {
         Ok(())
     }
 
-    /// Hand one message to the matching engine, noting its feed-time
-    /// operation count when a recorder is attached (consumption-time
-    /// taping needs it to compute the release point).
-    fn feed(&mut self, msg: Message) {
+    /// Note that the caller has just observed the message `key` (a
+    /// probe returned it or a receive matched it), when a recorder is
+    /// attached: its first observation is its replay release point.
+    fn note_seen(&mut self, key: (usize, u64)) {
         if self.recorder.is_some() {
-            self.feed_ops.insert((msg.src, msg.seq), self.ops);
+            self.seen.entry(key).or_insert(self.polls);
         }
+    }
+
+    /// Hand one message to the matching engine.
+    fn feed(&mut self, msg: Message) {
         #[cfg(feature = "obs")]
         if let Some(o) = self.obs.as_mut() {
             o.note_delivered();
         }
         if let Some((id, msg)) = self.engine.deliver(msg) {
+            self.note_seen((msg.src, msg.seq));
             self.completed.insert(id, msg);
         }
     }
 
-    /// Tape one message at the moment it is handed to the caller. The
-    /// recorded release point is `max(feed_op, consume_op - 1)`: never
-    /// before the original's physical arrival (so replay visibility
-    /// stays within the window the dead incarnation had), and exactly
-    /// at the poll that found it (the control pump probes one operation
-    /// before its consuming receive). Taping at consumption rather
-    /// than at feed keeps polled consumption order-faithful under
-    /// replay: a message the original fed but never polled must not be
-    /// consumed mid-replay at a point the original never reached.
+    /// Tape one message at the moment it is handed to the caller, with
+    /// the observation that first saw it as its release point. Taping at
+    /// consumption rather than at feed keeps polled consumption
+    /// order-faithful under replay: a message the original fed but never
+    /// polled must not be consumed mid-replay at a point the original
+    /// never reached. Releasing at the first observation that saw it
+    /// (not merely at the operation count) keeps two probes of one
+    /// operation apart: a message the first missed stays invisible to
+    /// it under replay too.
     fn record_consumed(&mut self, msg: &Message) {
-        let fed = self.feed_ops.remove(&(msg.src, msg.seq));
+        let seen = self.seen.remove(&(msg.src, msg.seq));
         if let Some(rec) = &self.recorder {
-            let fed = fed.unwrap_or(self.ops);
-            rec.record(self.rank, fed.max(self.ops.saturating_sub(1)), msg);
+            rec.record(self.rank, seen.unwrap_or(self.polls), msg);
         }
         // During catch-up every consumable message came off the tape
         // (live frames are held, the undelivered stash waits for the
@@ -321,6 +331,9 @@ impl Mpi {
     /// During a respawned incarnation's catch-up, live frames are held
     /// back instead (they post-date everything on the replay tape).
     fn dispatch(&mut self, frame: Frame) {
+        if let Frame::Wake = frame {
+            return;
+        }
         if self.replay.is_some() {
             self.hold_frame(frame);
             return;
@@ -366,20 +379,15 @@ impl Mpi {
         self.replay = Some(rp);
     }
 
-    /// Drive the reliable-delivery sublayer's timers (held-frame release
-    /// and retransmission). No-op on the perfect wire.
-    fn net_poll(&mut self) -> MpiResult<()> {
+    /// Move every frame waiting in the mailbox into the matching engine,
+    /// after driving the reliable-delivery sublayer's timers (held-frame
+    /// release and retransmission; no-op on the perfect wire). A
+    /// respawned incarnation in catch-up instead releases the tape entry
+    /// due at the current observation and holds live frames back.
+    fn drain(&mut self) -> MpiResult<()> {
         if let Some(ep) = self.net.as_mut() {
             ep.poll(&self.fabric, Instant::now())?;
         }
-        Ok(())
-    }
-
-    /// Move every frame waiting in the mailbox into the matching engine.
-    /// A respawned incarnation in catch-up instead releases tape entries
-    /// visible at the current operation count and holds live frames back.
-    fn drain(&mut self) -> MpiResult<()> {
-        self.net_poll()?;
         if self.replay.is_some() {
             self.replay_step();
             return Ok(());
@@ -392,8 +400,9 @@ impl Mpi {
 
     /// One catch-up round: absorb live frames into the hold queue (still
     /// acking through the resurrected endpoint so peers stop
-    /// retransmitting), release tape entries whose recorded op count has
-    /// been reached, and go live once the tape is exhausted.
+    /// retransmitting), release the next tape entry once its observation
+    /// has been reached, and go live once the tape is exhausted and
+    /// re-execution has passed the predecessor's last observation.
     fn replay_step(&mut self) {
         while let Ok(frame) = self.inbox.try_recv() {
             self.hold_frame(frame);
@@ -403,7 +412,7 @@ impl Mpi {
         };
         if !rp.outstanding {
             match rp.tape.pop_front() {
-                Some((at, msg)) if at <= self.ops => {
+                Some((at, msg)) if at <= self.polls => {
                     rp.outstanding = true;
                     self.feed(msg);
                 }
@@ -411,21 +420,65 @@ impl Mpi {
                 None => {}
             }
         }
-        if rp.tape.is_empty() {
-            // Caught up: release the predecessor's fed-but-unconsumed
-            // messages (they physically arrived before the death), then
-            // the held live traffic (it post-dates them, so per-sender
-            // FIFO is preserved), and rejoin the ordinary delivery path.
-            for msg in rp.undelivered {
-                self.feed(msg);
-            }
-            for msg in rp.held {
-                self.feed(msg);
-            }
-            self.caught_up_pending = true;
+        if rp.tape.is_empty() && self.polls > rp.until_poll {
+            self.go_live(rp);
         } else {
             self.replay = Some(rp);
         }
+    }
+
+    /// End catch-up: release the predecessor's fed-but-unconsumed
+    /// messages (they physically arrived before the death), then the
+    /// held live traffic (it post-dates them, so per-sender FIFO is
+    /// preserved), and rejoin the ordinary delivery path.
+    fn go_live(&mut self, rp: ReplayState) {
+        for msg in rp.undelivered.into_iter().chain(rp.held) {
+            self.feed(msg);
+        }
+        self.caught_up_pending = true;
+    }
+
+    /// Block until a frame or a wake lands in the mailbox, or the
+    /// reliable-delivery sublayer's next timer falls due (never, on the
+    /// perfect wire), then dispatch what arrived. Every blocking call
+    /// waits here. Liveness is checked first: `abort`/`fail_rank` store
+    /// their flag before pushing the wake, so no wake is lost.
+    fn block(&mut self) -> MpiResult<()> {
+        if let Err(e) = self.liveness() {
+            self.died_blocked = true;
+            return Err(e);
+        }
+        if let Some(rp) = self.replay.take() {
+            // A predecessor that died blocked here never got what this
+            // wait needs: only live traffic can end it.
+            if rp.tape.is_empty()
+                && rp.until_blocked
+                && self.polls >= rp.until_poll
+            {
+                self.go_live(rp);
+                return Ok(());
+            }
+            self.replay = Some(rp);
+        }
+        let due = self.net.as_ref().and_then(|ep| ep.next_due(&self.fabric));
+        let frame = match due {
+            None => self
+                .inbox
+                .recv()
+                .map_err(|_| RecvTimeoutError::Disconnected),
+            Some(at) => self.inbox.recv_deadline(at),
+        };
+        match frame {
+            Ok(frame) => self.dispatch(frame),
+            Err(RecvTimeoutError::Timeout) => {}
+            // The fabric and the control block hold a sender for every
+            // rank, so this cannot happen while `self` is alive; treat
+            // defensively as an abort.
+            Err(RecvTimeoutError::Disconnected) => {
+                return Err(MpiError::Aborted)
+            }
+        }
+        Ok(())
     }
 
     /// Linger until every frame this rank sent has been acknowledged (or
@@ -436,16 +489,16 @@ impl Mpi {
             return Ok(());
         }
         loop {
-            if self.fabric.control().is_aborted() {
-                // Every rank is rolling back; undelivered frames die with
-                // the attempt.
-                return Ok(());
-            }
             self.drain()?;
             if self.net.as_ref().is_none_or(NetEndpoint::all_acked) {
                 return Ok(());
             }
-            std::thread::sleep(Duration::from_micros(200));
+            match self.block() {
+                // Every rank is rolling back, or this one is dead:
+                // undelivered frames die with it.
+                Err(MpiError::Aborted | MpiError::FailStop) => return Ok(()),
+                other => other?,
+            }
         }
     }
 
@@ -598,12 +651,14 @@ impl Mpi {
     ) -> MpiResult<Request> {
         self.liveness()?;
         self.ops += 1;
+        self.polls += 1;
         let src_world = Self::resolve_src(comm, src)?;
         let tag = Self::resolve_tag(tag);
         self.drain()?;
         let context = Self::plane_context(comm, plane);
         match self.engine.post(src_world, context, tag) {
             PostOutcome::Matched(msg) => {
+                self.note_seen((msg.src, msg.seq));
                 self.record_consumed(&msg);
                 Ok(Request::recv_ready(self.rank, Self::recv_msg(comm, msg)))
             }
@@ -675,26 +730,12 @@ impl Mpi {
                     }
                     // Not complete: restore state and block for traffic.
                     req.state = ReqState::RecvPending(id);
-                    self.liveness()?;
                     // A full drain (not just a net poll): a respawned
                     // incarnation's completion may come off the replay
                     // tape, which only the drain path releases.
                     self.drain()?;
-                    if self.completed.contains_key(&id) {
-                        continue;
-                    }
-                    match self.inbox.recv_timeout(Duration::from_millis(1)) {
-                        Ok(frame) => {
-                            self.dispatch(frame);
-                            self.drain()?;
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => {
-                            // Fabric holds a sender for every rank including
-                            // ourselves, so this cannot happen while `self`
-                            // is alive; treat defensively as an abort.
-                            return Err(MpiError::Aborted);
-                        }
+                    if !self.completed.contains_key(&id) {
+                        self.block()?;
                     }
                 }
             }
@@ -842,6 +883,7 @@ impl Mpi {
             ));
         }
         self.liveness()?;
+        self.polls += 1;
         self.drain()?;
         match &req.state {
             ReqState::SendDone | ReqState::RecvReady(_) => Ok(true),
@@ -872,8 +914,9 @@ impl Mpi {
         comm: &Comm,
         reqs: &mut [Request],
     ) -> MpiResult<(usize, Option<RecvMsg>)> {
+        self.liveness()?;
+        self.polls += 1;
         loop {
-            self.liveness()?;
             self.drain()?;
             let mut any_live = false;
             for (i, req) in reqs.iter_mut().enumerate() {
@@ -897,13 +940,7 @@ impl Mpi {
                     "waitany with no live requests".into(),
                 ));
             }
-            match self.inbox.recv_timeout(Duration::from_millis(1)) {
-                Ok(frame) => self.dispatch(frame),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(MpiError::Aborted)
-                }
-            }
+            self.block()?;
         }
     }
 
@@ -922,7 +959,7 @@ impl Mpi {
                 // re-execution cancels identically), but drop the
                 // feed-op bookkeeping.
                 if let Some(m) = self.completed.remove(&id) {
-                    self.feed_ops.remove(&(m.src, m.seq));
+                    self.seen.remove(&(m.src, m.seq));
                 }
             }
         }
@@ -955,6 +992,7 @@ impl Mpi {
         tag: i32,
     ) -> MpiResult<Option<(usize, i32, usize)>> {
         self.liveness()?;
+        self.polls += 1;
         #[cfg(feature = "obs")]
         if let Some(o) = self.obs.as_mut() {
             o.note_probe();
@@ -962,12 +1000,16 @@ impl Mpi {
         self.drain()?;
         let src_world = Self::resolve_src(comm, src)?;
         let tag = Self::resolve_tag(tag);
-        Ok(self.engine.probe(src_world, comm.context(), tag).map(|m| {
-            let s = comm
-                .comm_rank_of_world(m.src)
-                .expect("sender must be a member");
-            (s, m.tag, m.header.len() + m.payload.len())
-        }))
+        let Some(m) = self.engine.probe(src_world, comm.context(), tag) else {
+            return Ok(None);
+        };
+        let s = comm
+            .comm_rank_of_world(m.src)
+            .expect("sender must be a member");
+        let (key, found) =
+            ((m.src, m.seq), (s, m.tag, m.header.len() + m.payload.len()));
+        self.note_seen(key);
+        Ok(Some(found))
     }
 
     // ------------------------------------------------------------------
@@ -990,12 +1032,6 @@ impl Mpi {
     /// high-water so far.
     pub fn suppressed_sends(&self) -> u64 {
         self.suppressed_sends
-    }
-
-    /// True while a respawned incarnation is still replaying its
-    /// predecessor's consumed-message tape.
-    pub fn in_catchup(&self) -> bool {
-        self.replay.is_some()
     }
 
     /// One-shot catch-up completion signal: returns true exactly once,

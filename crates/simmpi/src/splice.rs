@@ -1,12 +1,13 @@
 //! Online rank substitution: the flight recorder and supervision types
-//! behind [`crate::World::run_supervised_net`].
+//! behind [`crate::World::run_supervised`].
 //!
 //! Full-job rollback (the paper's recovery model) throws away every
 //! survivor's progress to repair one dead rank. The splice path keeps
 //! survivors running: while a job executes under supervision, a
 //! [`FlightRecorder`] tapes every message each rank *consumed* (in
-//! matching-engine arrival order, tagged with the consuming rank's
-//! operation count), and when a rank fail-stops the supervisor respawns it
+//! consumption order, tagged with the rank's observation count — its
+//! receive posts, probes and tests — at which it first saw the message),
+//! and when a rank fail-stops the supervisor respawns it
 //! as a fresh incarnation that deterministically re-executes the rank
 //! function with the tape substituting for its peers:
 //!
@@ -15,18 +16,16 @@
 //!   released to the successor's matching engine strictly one at a
 //!   time in that order — the head entry becomes visible only once
 //!   the previously released entry has been consumed *and* the
-//!   successor's operation count reaches `max(feed_op, consume_op -
-//!   1)` (never before the original's physical arrival, and no
-//!   earlier than the poll that found it: the control pump probes one
-//!   operation before its consuming receive). Both gates matter:
-//!   taping at consumption rather than at feed keeps *polled*
-//!   consumption order-faithful (a message the original fed but never
-//!   polled must not be consumed mid-replay at a point the original
-//!   never reached), and one-at-a-time release sequences polls that
-//!   share an operation count (the original may consume a message
-//!   between two same-op probes, which no op threshold can tell
-//!   apart). Messages fed but never consumed travel in the death
-//!   stash instead and go live only after catch-up;
+//!   successor reaches the observation at which the original first
+//!   saw it. Both gates matter: taping at consumption rather than at
+//!   feed keeps *polled* consumption order-faithful (a message the
+//!   original fed but never polled must not be consumed mid-replay at
+//!   a point the original never reached), and the observation gate
+//!   keeps a message out of every probe that missed it in the
+//!   original, even one sharing an operation count with the probe
+//!   that found it. Messages fed but never consumed travel in the
+//!   death stash instead and go live only after catch-up, which ends
+//!   once re-execution passes the original's last observation;
 //! * re-executed sends are counted and squelched until the dead
 //!   incarnation's per-(destination, context, tag) transmitted-frame
 //!   budgets are spent — survivors already hold those messages, and the
@@ -42,8 +41,8 @@
 //! Determinism is what makes this sound: a rank's execution is a function
 //! of its rank id, the attempt-scoped seed material derived from them by
 //! the layers above, and the sequence of messages fed to its matching
-//! engine. Replaying the consumed-message sequence at faithful op counts
-//! reproduces the dead incarnation's execution exactly up to the death
+//! engine. Replaying the consumed-message sequence at faithful
+//! observations reproduces the dead incarnation's execution exactly up to the death
 //! point, after which the incarnation goes live on the real fabric.
 
 use std::collections::VecDeque;
@@ -54,8 +53,8 @@ use parking_lot::Mutex;
 use crate::envelope::Message;
 use crate::netsim::{Frame, NetEndpoint};
 
-/// A taped consumed message: the consuming rank's operation count at the
-/// moment the message entered its matching engine, plus the message.
+/// A taped consumed message: the consuming rank's observation count when
+/// it first saw the message, plus the message.
 pub(crate) type TapeEntry = (u64, Message);
 
 /// What a dying incarnation leaves behind for its successor.
@@ -77,6 +76,17 @@ pub(crate) struct DeathStash {
     /// on the consumption tape — the original never observed them — so
     /// the successor receives them only once catch-up ends.
     pub undelivered: Vec<Message>,
+    /// The dying incarnation's observation count. The successor stays
+    /// in catch-up until it has re-executed past it, even once the tape
+    /// is exhausted: the original may have sent after its last
+    /// consumption, and traffic released before those re-executed sends
+    /// would let the successor act (e.g. take a checkpoint) at a point
+    /// the original never did, behind sends the survivors already hold.
+    pub polls: u64,
+    /// Whether the incarnation died blocked in a wait. Its successor then
+    /// goes live when it blocks in that same wait: the message it waits
+    /// for never reached the original, so only live traffic can end it.
+    pub blocked: bool,
 }
 
 struct Tape {
@@ -104,12 +114,13 @@ impl FlightRecorder {
         }
     }
 
-    /// Tape one message consumed by `rank` at operation count `at_op`.
-    pub(crate) fn record(&self, rank: usize, at_op: u64, msg: &Message) {
+    /// Tape one message consumed by `rank`, first seen at observation
+    /// `at`.
+    pub(crate) fn record(&self, rank: usize, at: u64, msg: &Message) {
         self.ranks[rank]
             .lock()
             .consumed
-            .push_back((at_op, msg.clone()));
+            .push_back((at, msg.clone()));
     }
 
     /// Record what a dying incarnation leaves behind (called by the rank

@@ -43,56 +43,32 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Build a perfect-wire fabric for `n` ranks; returns the fabric plus
-    /// each rank's receiving endpoint.
+    /// Build a fabric for `n` ranks over the wire described by `cond`;
+    /// returns the fabric plus each rank's receiving endpoint. A perfect
+    /// `cond` allocates no wire state: frames take the direct path.
     pub fn new(
-        n: usize,
-        control: JobControl,
-    ) -> (Fabric, Vec<Receiver<Frame>>) {
-        Self::build(n, control, None)
-    }
-
-    /// Build a fabric whose frames traverse the lossy wire described by
-    /// `cond` (a perfect `cond` degenerates to [`Fabric::new`]).
-    pub fn new_with_net(
         n: usize,
         control: JobControl,
         cond: NetCond,
     ) -> (Fabric, Vec<Receiver<Frame>>) {
-        let net = if cond.is_perfect() {
-            None
-        } else {
-            Some(Arc::new(WireNet {
+        let net = (!cond.is_perfect()).then(|| {
+            Arc::new(WireNet {
                 links: (0..n * n)
                     .map(|_| Mutex::new(LinkWire::new()))
                     .collect(),
                 cond,
                 n,
-            }))
+            })
+        });
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..n).map(|_| unbounded()).unzip();
+        control.attach_mailboxes(senders.clone());
+        let fabric = Fabric {
+            senders,
+            control,
+            net,
         };
-        Self::build(n, control, net)
-    }
-
-    fn build(
-        n: usize,
-        control: JobControl,
-        net: Option<Arc<WireNet>>,
-    ) -> (Fabric, Vec<Receiver<Frame>>) {
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        (
-            Fabric {
-                senders,
-                control,
-                net,
-            },
-            receivers,
-        )
+        (fabric, receivers)
     }
 
     /// Number of ranks the fabric connects.
@@ -141,7 +117,8 @@ impl Fabric {
 
     /// Offer one frame to the lossy wire on the directed link
     /// `src → dst`; surviving copies land in `dst`'s mailbox now or when
-    /// a later wire event releases them. No-op on a perfect-wire fabric.
+    /// a later wire event releases them (a parked frame wakes `dst` so
+    /// it re-arms its deadline). No-op on a perfect-wire fabric.
     pub fn wire_transmit(
         &self,
         src: usize,
@@ -151,7 +128,7 @@ impl Fabric {
     ) {
         let Some(net) = &self.net else { return };
         let tx = &self.senders[dst];
-        net.links[src * net.n + dst].lock().transmit(
+        let parked = net.links[src * net.n + dst].lock().transmit(
             &net.cond,
             src,
             dst,
@@ -161,6 +138,23 @@ impl Fabric {
                 tx.send(f).ok();
             },
         );
+        if parked {
+            tx.send(Frame::Wake).ok();
+        }
+    }
+
+    /// When the next frame parked on a link into `dst` falls due.
+    pub fn wire_next_due_to(
+        &self,
+        dst: usize,
+        now: Instant,
+    ) -> Option<Instant> {
+        let net = self.net.as_ref()?;
+        (0..net.n)
+            .filter_map(|src| {
+                net.links[src * net.n + dst].lock().next_due(now)
+            })
+            .min()
     }
 
     /// Release every due held frame on links into `dst` (the receiver-side
@@ -215,7 +209,7 @@ mod tests {
     #[test]
     fn per_sender_fifo_order_is_preserved() {
         let control = JobControl::new(2);
-        let (fabric, mut rx) = Fabric::new(2, control);
+        let (fabric, mut rx) = Fabric::new(2, control, NetCond::perfect());
         for seq in 0..100 {
             fabric.send(msg(0, 1, seq)).unwrap();
         }
@@ -228,7 +222,7 @@ mod tests {
     #[test]
     fn invalid_destination_is_an_error() {
         let control = JobControl::new(2);
-        let (fabric, _rx) = Fabric::new(2, control);
+        let (fabric, _rx) = Fabric::new(2, control, NetCond::perfect());
         assert_eq!(
             fabric.send(msg(0, 5, 0)).unwrap_err(),
             MpiError::InvalidRank { rank: 5, size: 2 }
@@ -238,7 +232,7 @@ mod tests {
     #[test]
     fn send_to_dead_rank_is_silently_dropped() {
         let control = JobControl::new(2);
-        let (fabric, rx) = Fabric::new(2, control);
+        let (fabric, rx) = Fabric::new(2, control, NetCond::perfect());
         drop(rx); // both ranks gone
         fabric.send(msg(0, 1, 0)).unwrap();
     }
@@ -246,7 +240,8 @@ mod tests {
     #[test]
     fn abort_poisons_sends() {
         let control = JobControl::new(2);
-        let (fabric, _rx) = Fabric::new(2, control.clone());
+        let (fabric, _rx) =
+            Fabric::new(2, control.clone(), NetCond::perfect());
         control.abort();
         assert_eq!(fabric.send(msg(0, 1, 0)).unwrap_err(), MpiError::Aborted);
     }
@@ -257,7 +252,8 @@ mod tests {
         // opposite order, so an out-of-range destination was masked by
         // `Aborted` during rollback and a program bug went unreported.
         let control = JobControl::new(2);
-        let (fabric, _rx) = Fabric::new(2, control.clone());
+        let (fabric, _rx) =
+            Fabric::new(2, control.clone(), NetCond::perfect());
         control.abort();
         assert_eq!(
             fabric.send(msg(0, 5, 0)).unwrap_err(),
@@ -270,8 +266,7 @@ mod tests {
     #[test]
     fn perfect_netcond_allocates_no_wire_state() {
         let control = JobControl::new(2);
-        let (fabric, _rx) =
-            Fabric::new_with_net(2, control, NetCond::perfect());
+        let (fabric, _rx) = Fabric::new(2, control, NetCond::perfect());
         assert!(fabric.net_cond().is_none());
         assert_eq!(fabric.wire_stats_for(0), WireStats::default());
     }

@@ -2,7 +2,20 @@
 
 use std::time::Duration;
 
-use simmpi::{JobControl, MpiError, ReduceOp, World};
+use simmpi::{
+    JobControl, MpiError, MpiResult, NetCond, ReduceOp, Repair, World,
+};
+
+/// Run a job under the rollback supervisor on the perfect wire and
+/// return every rank's result.
+fn run_collect<T: Send>(
+    n: usize,
+    control: JobControl,
+    f: impl Fn(&mut simmpi::Mpi) -> MpiResult<T> + Send + Sync,
+) -> Vec<MpiResult<T>> {
+    World::run_supervised(n, control, NetCond::perfect(), Repair::Rollback, f)
+        .0
+}
 
 #[test]
 fn comm_dup_isolates_traffic() {
@@ -104,7 +117,7 @@ fn comm_split_negative_color_opts_out() {
 fn abort_unblocks_a_stuck_receive() {
     let control = JobControl::new(2);
     let ctl = control.clone();
-    let results = World::run_collect(2, control, |mpi| -> Result<(), _> {
+    let results = run_collect(2, control, |mpi| -> Result<(), _> {
         let comm = mpi.world();
         if mpi.rank() == 0 {
             // Blocks forever: nobody ever sends tag 99.
@@ -126,7 +139,7 @@ fn abort_unblocks_a_stuck_receive() {
 fn fail_stop_silences_only_the_failed_rank() {
     let control = JobControl::new(2);
     let ctl = control.clone();
-    let results = World::run_collect(2, control, |mpi| {
+    let results = run_collect(2, control, |mpi| {
         let comm = mpi.world();
         if mpi.rank() == 0 {
             ctl.fail_rank(0);
@@ -148,7 +161,7 @@ fn fail_stop_silences_only_the_failed_rank() {
 fn abort_unblocks_a_stuck_collective() {
     let control = JobControl::new(3);
     let ctl = control.clone();
-    let results = World::run_collect(3, control, |mpi| -> Result<(), _> {
+    let results = run_collect(3, control, |mpi| -> Result<(), _> {
         let comm = mpi.world();
         match mpi.rank() {
             0 => {
@@ -173,17 +186,23 @@ fn abort_unblocks_a_stuck_collective() {
 fn messages_to_failed_rank_are_dropped_not_fatal() {
     let control = JobControl::new(2);
     let ctl = control.clone();
-    let results = World::run_collect(2, control, |mpi| {
+    // Rank 1 dies but keeps its thread until rank 0 has sent, so the
+    // supervisor's abort cannot race the send.
+    let sent = std::sync::Barrier::new(2);
+    let results = run_collect(2, control, |mpi| {
         let comm = mpi.world();
         if mpi.rank() == 1 {
             ctl.fail_rank(1);
+            sent.wait();
+            sent.wait();
             Err(MpiError::FailStop)
         } else {
-            // Give rank 1 a moment to die, then send into the void; the
-            // reliable transport buffers/drops without error.
-            std::thread::sleep(Duration::from_millis(20));
-            mpi.send(&comm, 1, 1, b"void")?;
-            Ok(())
+            // Send into the void once rank 1 is dead; the reliable
+            // transport buffers/drops without error.
+            sent.wait();
+            let out = mpi.send(&comm, 1, 1, b"void");
+            sent.wait();
+            out
         }
     });
     assert!(results[0].is_ok());

@@ -3,8 +3,27 @@
 //! dropping, duplicating, reordering, and delaying frames underneath.
 
 use simmpi::{
-    JobControl, MpiError, MpiResult, NetCond, RetransmitPolicy, World,
+    JobControl, MpiError, MpiResult, NetCond, Repair, RetransmitPolicy, World,
 };
+
+/// Run a job over `cond` under the rollback supervisor and return every
+/// rank's result.
+fn run_collect_net<T: Send>(
+    n: usize,
+    cond: NetCond,
+    f: impl Fn(&mut simmpi::Mpi) -> MpiResult<T> + Send + Sync,
+) -> Vec<MpiResult<T>> {
+    World::run_supervised(n, JobControl::new(n), cond, Repair::Rollback, f).0
+}
+
+/// Every rank's output over `cond`, or the first rank error.
+fn run_net<T: Send>(
+    n: usize,
+    cond: NetCond,
+    f: impl Fn(&mut simmpi::Mpi) -> MpiResult<T> + Send + Sync,
+) -> MpiResult<Vec<T>> {
+    run_collect_net(n, cond, f).into_iter().collect()
+}
 
 /// Ring halo exchange + tag-reordered p2p + collectives, the same mix the
 /// upper layers lean on. Returns a per-rank digest.
@@ -55,7 +74,7 @@ fn mixed_app(mpi: &mut simmpi::Mpi) -> MpiResult<u64> {
 fn mixed_app_survives_lossy_wire_across_seeds() {
     let reference = World::run(4, mixed_app).unwrap();
     for seed in 0..6u64 {
-        let out = World::run_net(4, NetCond::lossy(seed), mixed_app)
+        let out = run_net(4, NetCond::lossy(seed), mixed_app)
             .unwrap_or_else(|e| panic!("seed {seed} failed: {e}"));
         assert_eq!(out, reference, "seed {seed} diverged from perfect wire");
     }
@@ -65,13 +84,10 @@ fn mixed_app_survives_lossy_wire_across_seeds() {
 fn lossy_runs_with_equal_seed_agree_and_wire_faults_fire() {
     let cond = NetCond::lossy(42).with_drop_ppm(100_000);
     let run = || {
-        let control = JobControl::new(4);
-        World::run_collect_net(4, control, cond.clone(), |mpi| {
+        run_net(4, cond.clone(), |mpi| {
             let d = mixed_app(mpi)?;
             Ok((d, mpi.net_stats()))
         })
-        .into_iter()
-        .collect::<MpiResult<Vec<_>>>()
         .unwrap()
     };
     let a = run();
@@ -100,7 +116,7 @@ fn transient_partition_is_masked_by_the_sublayer() {
     // Sever ranks 0 ↔ 1 for their first 8 frames each way; the sublayer's
     // retransmissions advance the link clock until it heals.
     let cond = NetCond::perfect().with_partition(0, 1, 0, 8);
-    let out = World::run_net(2, cond, |mpi| {
+    let out = run_net(2, cond, |mpi| {
         let comm = mpi.world();
         if mpi.rank() == 0 {
             mpi.send(&comm, 1, 5, b"over the gap")?;
@@ -124,8 +140,7 @@ fn permanent_partition_exhausts_budget_as_net_unreachable() {
             max_delay_us: 500,
             budget: 5,
         });
-    let control = JobControl::new(2);
-    let results = World::run_collect_net(2, control, cond, |mpi| {
+    let results = run_collect_net(2, cond, |mpi| {
         let comm = mpi.world();
         if mpi.rank() == 0 {
             mpi.send(&comm, 1, 7, b"into the void")?;
@@ -162,8 +177,7 @@ fn dead_rank_under_lossy_wire_still_vanishes_silently() {
     // write its traffic off instead of erroring, so the failure detector
     // (not a spurious NetUnreachable) decides the job's fate.
     let cond = NetCond::lossy(3);
-    let control = JobControl::new(2);
-    let results = World::run_collect_net(2, control, cond, |mpi| {
+    let results = run_collect_net(2, cond, |mpi| {
         let comm = mpi.world();
         if mpi.rank() == 0 {
             // The peer dies without ever receiving; sends must succeed

@@ -134,7 +134,7 @@ proptest! {
             ..NetCond::perfect()
         };
         let control = JobControl::new(3);
-        let (fabric, rx) = Fabric::new_with_net(3, control, cond.clone());
+        let (fabric, rx) = Fabric::new(3, control, cond.clone());
         let mut senders = [
             NetEndpoint::new(0, 3, cond.retransmit.clone()),
             NetEndpoint::new(1, 3, cond.retransmit.clone()),

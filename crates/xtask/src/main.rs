@@ -28,6 +28,11 @@
 //!   `ControlRecv`, `SuppressSent` / `SuppressRecv`) must emit the
 //!   other (a component that records sends but not receipts produces
 //!   traces the happens-before checker cannot order).
+//! * **no-poll** — no `thread::sleep` or `recv_timeout` in the runtime
+//!   crates (`simmpi`, `core`, `ckptpipe`, `ckptstore`): a wait there
+//!   blocks on an event (a frame, a wake, a deadline). The allowlist
+//!   budgets the few sleeps that model time rather than wait for an
+//!   event, per file, each with its reason.
 //!
 //! Test modules are exempt: each file is scanned only up to its first
 //! `#[cfg(test)]` marker, and `tests/` / `benches/` directories are not
@@ -45,6 +50,15 @@ const EVENT_PAIRS: &[(&str, &str)] = &[
     ("ControlSent", "ControlRecv"),
     ("SuppressSent", "SuppressRecv"),
     ("TierDrained", "TierRecovered"),
+];
+
+/// Source trees where sleeping or timed polling is budgeted (rule
+/// no-poll).
+const NO_POLL_DIRS: &[&str] = &[
+    "crates/simmpi/src/",
+    "crates/core/src/",
+    "crates/ckptpipe/src/",
+    "crates/ckptstore/src/",
 ];
 
 /// Files whose unwrap/expect count is budgeted (rule hot-path-unwrap).
@@ -121,6 +135,8 @@ struct Allow {
     instant: BTreeSet<String>,
     /// Per-file unwrap/expect budget.
     unwrap_budget: BTreeMap<String, usize>,
+    /// Per-file sleep/timed-poll budget.
+    poll_budget: BTreeMap<String, usize>,
 }
 
 impl Allow {
@@ -140,7 +156,7 @@ impl Allow {
                 "instant-now" => {
                     allow.instant.insert(path.to_string());
                 }
-                "hot-path-unwrap" => {
+                "hot-path-unwrap" | "no-poll" => {
                     let budget: usize = parts
                         .next()
                         .ok_or_else(|| {
@@ -148,7 +164,12 @@ impl Allow {
                         })?
                         .parse()
                         .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                    allow.unwrap_budget.insert(path.to_string(), budget);
+                    let budgets = if rule == "no-poll" {
+                        &mut allow.poll_budget
+                    } else {
+                        &mut allow.unwrap_budget
+                    };
+                    budgets.insert(path.to_string(), budget);
                 }
                 other => {
                     return Err(format!(
@@ -174,6 +195,7 @@ fn lint(root: &Path, allow: &Allow) -> Result<Vec<String>, String> {
         let scanned = non_test_region(content);
         check_instant_now(rel, scanned, &instant_needle, allow, &mut findings);
         check_hot_path_unwrap(rel, scanned, allow, &mut findings);
+        check_no_poll(rel, scanned, allow, &mut findings);
         check_pair_emission(rel, scanned, &mut findings);
     }
     check_analyzer_coverage(root, &mut findings)?;
@@ -287,6 +309,30 @@ fn check_hot_path_unwrap(
             "{rel}: [hot-path-unwrap] {count} unwrap/expect site(s) in a \
              protocol hot path, budget {budget} (convert to typed errors \
              or raise the ratchet in crates/xtask/lint-allow.txt)"
+        ));
+    }
+}
+
+fn check_no_poll(
+    rel: &str,
+    scanned: &str,
+    allow: &Allow,
+    findings: &mut Vec<String>,
+) {
+    if !NO_POLL_DIRS.iter().any(|d| rel.starts_with(d)) {
+        return;
+    }
+    let count = scanned
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .filter(|l| l.contains("thread::sleep") || l.contains("recv_timeout"))
+        .count();
+    let budget = allow.poll_budget.get(rel).copied().unwrap_or(0);
+    if count > budget {
+        findings.push(format!(
+            "{rel}: [no-poll] {count} sleep/recv_timeout site(s), budget \
+             {budget} (block on an event instead, or justify the sleep in \
+             crates/xtask/lint-allow.txt)"
         ));
     }
 }
@@ -489,6 +535,30 @@ mod tests {
     }
 
     #[test]
+    fn no_poll_flags_sleeps_and_timed_receives() {
+        let src = "pub fn f(rx: &Receiver<u8>) {\n    \
+                   std::thread::sleep(D);\n    \
+                   let _ = rx.recv_timeout(D);\n    \
+                   // thread::sleep in a comment is fine\n}\n";
+        let fx =
+            Fixture::new("nopoll", &[("crates/simmpi/src/world.rs", src)]);
+        let findings = lint(&fx.root, &Allow::default()).unwrap();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].contains("[no-poll] 2 sleep"), "{findings:?}");
+
+        let mut allow = Allow::default();
+        allow
+            .poll_budget
+            .insert("crates/simmpi/src/world.rs".into(), 2);
+        assert!(lint(&fx.root, &allow).unwrap().is_empty());
+
+        // Outside the runtime crates the rule does not apply.
+        let fx =
+            Fixture::new("nopoll-out", &[("crates/apps/src/lib.rs", src)]);
+        assert!(lint(&fx.root, &Allow::default()).unwrap().is_empty());
+    }
+
+    #[test]
     fn one_sided_pair_emission_is_flagged() {
         let src = "fn f(t: &mut Tracer) {\n    t.record(TraceEvent::\
                    ControlSent { dst: 0, kind: 0, arg: 0 });\n}\n";
@@ -522,12 +592,15 @@ mod tests {
     fn allowlist_parser_rejects_unknown_rules() {
         assert!(Allow::parse("bogus-rule path").is_err());
         assert!(Allow::parse("hot-path-unwrap path notanumber").is_err());
+        assert!(Allow::parse("no-poll path").is_err());
         let allow = Allow::parse(
-            "# comment\ninstant-now a/b.rs\nhot-path-unwrap c/d.rs 3\n",
+            "# comment\ninstant-now a/b.rs\nhot-path-unwrap c/d.rs 3\n\
+             no-poll e/f.rs 1\n",
         )
         .unwrap();
         assert!(allow.instant.contains("a/b.rs"));
         assert_eq!(allow.unwrap_budget.get("c/d.rs"), Some(&3));
+        assert_eq!(allow.poll_budget.get("e/f.rs"), Some(&1));
     }
 
     /// The real workspace must lint clean — this is the same invocation

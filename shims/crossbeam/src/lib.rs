@@ -7,18 +7,53 @@
 //! plus the receive-side error types; `std::sync::mpsc` provides
 //! identical semantics for the single-consumer way `simmpi` uses them
 //! (one inbox `Receiver` owned by each rank thread, many cloned
-//! `Sender`s).
+//! `Sender`s). `Receiver` wraps the std one to add crossbeam's
+//! `recv_deadline`, which std offers only behind an unstable feature.
 
 pub mod channel {
     //! `crossbeam::channel`-compatible unbounded MPSC channels.
 
+    use std::time::Instant;
+
     pub use std::sync::mpsc::{
-        Receiver, RecvError, RecvTimeoutError, SendError, Sender, TryRecvError,
+        RecvError, RecvTimeoutError, SendError, Sender, TryRecvError,
     };
+
+    /// The receiving half of a channel.
+    #[derive(Debug)]
+    pub struct Receiver<T>(std::sync::mpsc::Receiver<T>);
+
+    impl<T> Receiver<T> {
+        /// Block until a message arrives.
+        pub fn recv(&self) -> Result<T, RecvError> {
+            self.0.recv()
+        }
+
+        /// Take a message if one is waiting.
+        pub fn try_recv(&self) -> Result<T, TryRecvError> {
+            self.0.try_recv()
+        }
+
+        /// Block until a message arrives or `deadline` passes.
+        pub fn recv_deadline(
+            &self,
+            deadline: Instant,
+        ) -> Result<T, RecvTimeoutError> {
+            self.0.recv_timeout(
+                deadline.saturating_duration_since(Instant::now()),
+            )
+        }
+
+        /// Blocking iterator over messages until every sender is gone.
+        pub fn iter(&self) -> std::sync::mpsc::Iter<'_, T> {
+            self.0.iter()
+        }
+    }
 
     /// Create an unbounded channel, crossbeam-style.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        std::sync::mpsc::channel()
+        let (tx, rx) = std::sync::mpsc::channel();
+        (tx, Receiver(rx))
     }
 
     #[cfg(test)]
@@ -32,12 +67,14 @@ pub mod channel {
             tx.send(7u32).unwrap();
             assert_eq!(rx.try_recv().unwrap(), 7);
             assert!(matches!(
-                rx.recv_timeout(Duration::from_millis(1)),
+                rx.recv_deadline(Instant::now()),
                 Err(RecvTimeoutError::Timeout)
             ));
+            tx.send(8).unwrap();
+            assert_eq!(rx.recv_deadline(Instant::now()).unwrap(), 8);
             drop(tx);
             assert!(matches!(
-                rx.recv_timeout(Duration::from_millis(1)),
+                rx.recv_deadline(Instant::now() + Duration::from_millis(1)),
                 Err(RecvTimeoutError::Disconnected)
             ));
         }
